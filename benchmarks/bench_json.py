@@ -69,7 +69,7 @@ from repro.experiments.event_sim import (
 )
 from repro.experiments.table5 import run_table5
 from repro.runtime.parallel import _batch_chunk_limit, run_cells
-from repro.lint import run_lint, run_program_lint
+from repro.lint.engine import run_lint, run_program_lint
 from repro.pipeline import (
     ExperimentOptions,
     discover,

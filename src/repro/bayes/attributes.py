@@ -21,8 +21,8 @@ import bisect
 from typing import List, Tuple
 
 import numpy as np
-from scipy import stats
 
+from repro.bayes import beta
 from repro.common.errors import InferenceError
 from repro.common.validation import check_in_range, check_positive
 
@@ -66,10 +66,11 @@ def availability_confidence_trajectories(
     *responded* stacks one indicator row per cell; the returned
     ``(cells, demands)`` matrix holds, per cell, the confidence a fresh
     assessor (with the given priors) would report after each successive
-    outcome.  The whole batch is ONE ``stats.beta.sf`` evaluation;
-    scipy's beta functions are elementwise, so every row is bitwise
-    equal to the per-cell trajectory — the batched sweep path leans on
-    this for its confidence columns.
+    outcome.  The whole batch is ONE :func:`repro.bayes.beta.sf`
+    evaluation (the ``scipy.special.betaincc`` ufunc); ufuncs are
+    elementwise, so every row is bitwise equal to the per-cell
+    trajectory — the batched sweep path leans on this for its confidence
+    columns.
     """
     check_in_range(target_availability, 0.0, 1.0, "target_availability")
     check_positive(prior_alpha, "prior_alpha")
@@ -78,7 +79,7 @@ def availability_confidence_trajectories(
         responded, prior_alpha, prior_beta
     )
     return np.asarray(
-        stats.beta.sf(target_availability, alphas, betas), dtype=float
+        beta.sf(target_availability, alphas, betas), dtype=float
     )
 
 
@@ -89,7 +90,7 @@ def availability_lower_bound_trajectories(
     prior_beta: float = 1.0,
 ) -> np.ndarray:
     """Batched :meth:`AvailabilityAssessor.lower_bound_trajectory`:
-    one ``stats.beta.ppf`` evaluation over the whole ``(cells,
+    one :func:`repro.bayes.beta.ppf` evaluation over the whole ``(cells,
     demands)`` checkpoint grid (same contract as
     :func:`availability_confidence_trajectories`)."""
     check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
@@ -99,7 +100,7 @@ def availability_lower_bound_trajectories(
         responded, prior_alpha, prior_beta
     )
     return np.asarray(
-        stats.beta.ppf(1.0 - confidence_level, alphas, betas),
+        beta.ppf(1.0 - confidence_level, alphas, betas),
         dtype=float,
     )
 
@@ -142,8 +143,9 @@ class AvailabilityAssessor:
         self.responded += int(responded)
         self.missed += int(missed)
 
-    def _posterior(self):
-        return stats.beta(
+    def _posterior(self) -> Tuple[float, float]:
+        """Posterior Beta parameters ``(alpha, beta)``."""
+        return (
             self.prior_alpha + self.responded,
             self.prior_beta + self.missed,
         )
@@ -151,12 +153,12 @@ class AvailabilityAssessor:
     def confidence(self, target_availability: float) -> float:
         """P(availability >= target | observations)."""
         check_in_range(target_availability, 0.0, 1.0, "target_availability")
-        return float(self._posterior().sf(target_availability))
+        return float(beta.sf(target_availability, *self._posterior()))
 
     def lower_bound(self, confidence_level: float) -> float:
         """Availability bound L with P(availability >= L) = level."""
         check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
-        return float(self._posterior().ppf(1.0 - confidence_level))
+        return float(beta.ppf(1.0 - confidence_level, *self._posterior()))
 
     def _trajectory_params(
         self, responded
@@ -190,7 +192,7 @@ class AvailabilityAssessor:
         check_in_range(target_availability, 0.0, 1.0, "target_availability")
         alphas, betas = self._trajectory_params(responded)
         return np.asarray(
-            stats.beta.sf(target_availability, alphas, betas), dtype=float
+            beta.sf(target_availability, alphas, betas), dtype=float
         )
 
     def lower_bound_trajectory(
@@ -202,13 +204,13 @@ class AvailabilityAssessor:
         check_in_range(confidence_level, 0.0, 1.0, "confidence_level")
         alphas, betas = self._trajectory_params(responded)
         return np.asarray(
-            stats.beta.ppf(1.0 - confidence_level, alphas, betas),
+            beta.ppf(1.0 - confidence_level, alphas, betas),
             dtype=float,
         )
 
     def posterior_mean(self) -> float:
         """Posterior expectation of the availability."""
-        return float(self._posterior().mean())
+        return float(beta.mean(*self._posterior()))
 
     def __repr__(self) -> str:
         return (
@@ -262,15 +264,16 @@ class ResponsivenessAssessor:
             self.late += 1
         bisect.insort(self._latencies, float(execution_time))
 
-    def _posterior(self):
-        return stats.beta(
+    def _posterior(self) -> Tuple[float, float]:
+        """Posterior Beta parameters ``(alpha, beta)``."""
+        return (
             self.prior_alpha + self.on_time, self.prior_beta + self.late
         )
 
     def confidence(self, target_fraction: float) -> float:
         """P(P(response <= deadline) >= target | observations)."""
         check_in_range(target_fraction, 0.0, 1.0, "target_fraction")
-        return float(self._posterior().sf(target_fraction))
+        return float(beta.sf(target_fraction, *self._posterior()))
 
     def confidence_trajectory(
         self, execution_times, target_fraction: float
@@ -293,7 +296,7 @@ class ResponsivenessAssessor:
         on_time = np.cumsum(times <= self.deadline, dtype=np.int64)
         totals = np.arange(1, times.size + 1, dtype=np.int64)
         return np.asarray(
-            stats.beta.sf(
+            beta.sf(
                 target_fraction,
                 self.prior_alpha + self.on_time + on_time,
                 self.prior_beta + self.late + (totals - on_time),
@@ -303,7 +306,7 @@ class ResponsivenessAssessor:
 
     def posterior_mean(self) -> float:
         """Posterior E[P(response <= deadline)]."""
-        return float(self._posterior().mean())
+        return float(beta.mean(*self._posterior()))
 
     def empirical_quantile(self, q: float) -> float:
         """Empirical latency quantile (e.g. ``0.95`` for p95)."""

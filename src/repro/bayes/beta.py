@@ -1,20 +1,77 @@
-"""Truncated (range-scaled) Beta distributions.
+"""Beta distribution functions and truncated (range-scaled) Beta priors.
 
 The paper defines its pfd priors as Beta distributions *"defined in the
 range [0, 0.002]"* (Scenario 1) or *"[0, 0.01]"* (Scenario 2): a standard
-Beta on [0, 1] linearly rescaled onto ``[lower, upper]``.  This module
-wraps scipy's Beta with that affine change of variable and exposes exactly
-the operations the assessors need: pdf on a grid, cdf, inverse cdf, mean
-and sampling.
+Beta on [0, 1] linearly rescaled onto ``[lower, upper]``.
+
+This is the one module that knows about scipy.  Its module-level
+functions evaluate the standard Beta(a, b) on [0, 1] with the
+``scipy.special`` ufuncs that scipy's own Beta distribution object calls,
+so they return the same bits without building frozen distributions:
+
+* ``sf`` calls ``betaincc(a, b, x)``;
+* ``cdf`` calls ``betainc(a, b, x)``;
+* ``ppf`` calls ``betaincinv(a, b, q)``;
+* ``mean`` is ``a / (a + b)``;
+* ``logpdf`` is ``xlog1py(b - 1, -x) + xlogy(a - 1, x) - betaln(a, b)``;
+* ``pdf`` is ``exp(logpdf)``.
+
+``scipy.special`` is imported inside each function on first use, not at
+module level, so experiments that never assess confidence start without
+paying for the scipy import.  :class:`TruncatedBeta` applies the affine
+change of variable on top of these functions and exposes exactly the
+operations the assessors need: pdf on a grid, cdf, inverse cdf, mean and
+sampling.
 """
 
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import ValidationError
 from repro.common.validation import check_positive
+
+
+def sf(x, a, b):
+    """P(X > x) for X ~ Beta(a, b): ``scipy.special.betaincc``."""
+    import scipy.special
+
+    return scipy.special.betaincc(a, b, x)
+
+
+def cdf(x, a, b):
+    """P(X <= x) for X ~ Beta(a, b): ``scipy.special.betainc``."""
+    import scipy.special
+
+    return scipy.special.betainc(a, b, x)
+
+
+def ppf(q, a, b):
+    """Inverse cdf of Beta(a, b): ``scipy.special.betaincinv``."""
+    import scipy.special
+
+    return scipy.special.betaincinv(a, b, q)
+
+
+def mean(a, b):
+    """E[X] for X ~ Beta(a, b)."""
+    return a / (a + b)
+
+
+def logpdf(x, a, b):
+    """Log-density of Beta(a, b) at *x* in [0, 1] (scipy's own formula)."""
+    import scipy.special
+
+    return (
+        scipy.special.xlog1py(b - 1.0, -x)
+        + scipy.special.xlogy(a - 1.0, x)
+        - scipy.special.betaln(a, b)
+    )
+
+
+def pdf(x, a, b):
+    """Density of Beta(a, b) at *x* in [0, 1], as ``exp(logpdf)``."""
+    return np.exp(logpdf(x, a, b))
 
 
 class TruncatedBeta:
@@ -46,7 +103,6 @@ class TruncatedBeta:
         self.lower = float(lower)
         self.upper = float(upper)
         self._width = self.upper - self.lower
-        self._dist = stats.beta(self.alpha, self.beta)
 
     @property
     def mean(self) -> float:
@@ -66,14 +122,16 @@ class TruncatedBeta:
         """Density at *x* (zero outside the support)."""
         unit = self._to_unit(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            dens = self._dist.pdf(unit) / self._width
+            dens = pdf(unit, self.alpha, self.beta) / self._width
         return np.where((unit >= 0.0) & (unit <= 1.0), dens, 0.0)
 
     def logpdf(self, x) -> np.ndarray:
         """Log-density at *x* (-inf outside the support)."""
         unit = self._to_unit(x)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logdens = self._dist.logpdf(unit) - np.log(self._width)
+            logdens = logpdf(unit, self.alpha, self.beta) - np.log(
+                self._width
+            )
         return np.where(
             (unit >= 0.0) & (unit <= 1.0), logdens, -np.inf
         )
@@ -81,11 +139,11 @@ class TruncatedBeta:
     def cdf(self, x) -> np.ndarray:
         """P(X <= x)."""
         unit = np.clip(self._to_unit(x), 0.0, 1.0)
-        return self._dist.cdf(unit)
+        return cdf(unit, self.alpha, self.beta)
 
     def ppf(self, q) -> np.ndarray:
         """Inverse cdf: the paper's percentiles (e.g. ``ppf(0.99)``)."""
-        return self.lower + self._width * self._dist.ppf(q)
+        return self.lower + self._width * ppf(q, self.alpha, self.beta)
 
     def sample(
         self, rng: np.random.Generator, size: Optional[int] = None

@@ -261,9 +261,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     options = _options(args, trace_dir, metrics)
 
     for name in names:
-        started = time.time()
+        started = time.perf_counter()
         outcome = run_experiment(COMMANDS[name], options)
-        elapsed = time.time() - started
+        elapsed = time.perf_counter() - started
         print(f"=== {name} (seed={args.seed}, {elapsed:.1f}s) ===")
         print(outcome.text)
         print()

@@ -45,9 +45,6 @@ from repro.experiments.event_sim import (
 from repro.pipeline import ExperimentOptions, ExperimentSpec, register
 from repro.runtime.parallel import CellSpec, run_cells
 from repro.runtime.sampling import build_demand_script
-from repro.services.aio.endpoint import AsyncEndpoint
-from repro.services.aio.load import run_load
-from repro.services.aio.middleware import AsyncUpgradeMiddleware
 from repro.services.wsdl import default_wsdl
 from repro.simulation.release_model import ReleaseBehaviour
 from repro.simulation.timing import SystemTimingPolicy
@@ -240,6 +237,12 @@ def run_service_load_cell(
     backend: str = "auto",
 ) -> ServiceLoadCellResult:
     """One cell: async load run + simulation reference + cross-check."""
+    # Imported lazily: the spec registry imports this module for every
+    # experiment, and only these cells need the asyncio substrate.
+    from repro.services.aio.endpoint import AsyncEndpoint
+    from repro.services.aio.load import run_load
+    from repro.services.aio.middleware import AsyncUpgradeMiddleware
+
     model = joint_model(joint, run)
     profile = paper_profile()
     seeds = SeedSequenceFactory(seed)

@@ -42,33 +42,3 @@ suppress a deliberate exception with a line comment
 ``# repro-lint: disable=REPROxxx``, or ratchet pre-existing program
 findings with ``--write-baseline`` / ``--baseline``.
 """
-
-from repro.lint.config import DEFAULT_CONFIG, LintConfig
-from repro.lint.engine import (
-    LintRun,
-    ModuleInfo,
-    lint_module,
-    lint_paths,
-    run_lint,
-    run_program_lint,
-)
-from repro.lint.findings import Finding
-from repro.lint.program import ProgramModel, all_program_rules
-from repro.lint.rules import all_rules
-from repro.lint.version import LINT_VERSION
-
-__all__ = [
-    "DEFAULT_CONFIG",
-    "Finding",
-    "LintConfig",
-    "LintRun",
-    "LINT_VERSION",
-    "ModuleInfo",
-    "ProgramModel",
-    "all_program_rules",
-    "all_rules",
-    "lint_module",
-    "lint_paths",
-    "run_lint",
-    "run_program_lint",
-]

@@ -377,9 +377,9 @@ def run_cells(
         # tax inverts the speedup — grid scaling drops below 1 — so the
         # whole batch runs inline instead.
         probe_index = todo[0]
-        probe_started = time.time()
+        probe_started = time.perf_counter()
         probe_outcome = execute(cells[probe_index])
-        probe_elapsed = time.time() - probe_started
+        probe_elapsed = time.perf_counter() - probe_started
         unpack(probe_index, probe_outcome)
         remaining = todo[1:]
         threshold = (
