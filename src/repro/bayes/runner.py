@@ -175,16 +175,27 @@ class SequentialAssessment:
         """Simulate the stream and assess at each checkpoint.
 
         An existing *assessor* can be supplied to reuse its (expensive)
-        precomputed likelihood grid across runs with the same prior; its
-        observations are reset first.  A *tracer* (see
-        :mod:`repro.obs.trace`) receives one ``checkpoint`` event per
-        posterior evaluation — the demand count, the cumulative Table-1
-        counts and the recorded percentiles; fields are functions of the
-        seeded stream only, so the trace is reproducible.
+        likelihood grids across runs with the same prior; its
+        observations are reset first.  It must have been built with this
+        assessment's prior and grid (else :class:`ConfigurationError`).
+        A *tracer* (see :mod:`repro.obs.trace`) receives one
+        ``checkpoint`` event per posterior evaluation — the demand count,
+        the cumulative Table-1 counts and the recorded percentiles; fields
+        are functions of the seeded stream only, so the trace is
+        reproducible.
         """
         if assessor is None:
             assessor = WhiteBoxAssessor(self.prior, self.grid)
         else:
+            # Compared by repr, the identity describe() keys the cache on.
+            if assessor.grid != self.grid or repr(assessor.prior) != repr(
+                self.prior
+            ):
+                raise ConfigurationError(
+                    f"assessor was built for prior={assessor.prior!r}, "
+                    f"grid={assessor.grid!r}; this assessment needs "
+                    f"prior={self.prior!r}, grid={self.grid!r}"
+                )
             assessor.reset()
         trace = tracer if tracer is not None and tracer.enabled else None
 

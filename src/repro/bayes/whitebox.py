@@ -27,11 +27,20 @@ from repro.bayes.counts import JointCounts
 from repro.bayes.priors import GridSpec, WhiteBoxPrior
 
 
-def _safe_log(values: np.ndarray) -> np.ndarray:
-    """log(values) with -inf (not nan) for non-positive entries."""
+#: Height, in pA rows, of the slabs the posterior is evaluated in.  At the
+#: default grid a 4-row slab of (B, Q) float64 cells is ~330 KB, so the
+#: multiply/add/max passes over a slab stay in L2 cache.
+SLAB_ROWS = 4
+
+
+def _log_in_place(values: np.ndarray) -> np.ndarray:
+    """Replace *values* by log(values), with -inf (not nan) for
+    non-positive entries; returns *values*."""
+    invalid = ~(values > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(values)
-    return np.where(values > 0.0, logs, -np.inf)
+        np.log(values, out=values)
+    np.copyto(values, -np.inf, where=invalid)
+    return values
 
 
 class WhiteBoxAssessor:
@@ -66,25 +75,32 @@ class WhiteBoxAssessor:
         q_edges = np.linspace(0.0, 1.0, grid.n_q + 1)
         self._q = 0.5 * (q_edges[:-1] + q_edges[1:])  # (Q,)
 
-        log_wa = _safe_log(prior.marginal_a.grid_weights(grid.n_pa))
-        log_wb = _safe_log(prior.marginal_b.grid_weights(grid.n_pb))
+        log_wa = _log_in_place(prior.marginal_a.grid_weights(grid.n_pa))
+        log_wb = _log_in_place(prior.marginal_b.grid_weights(grid.n_pb))
         log_wq = -np.log(grid.n_q)
         self._log_prior = (
             log_wa[:, None, None] + log_wb[None, :, None] + log_wq
         )  # (A, B, 1) broadcastable over Q
+        self._shape = (grid.n_pa, grid.n_pb, grid.n_q)
+        self._slabs = [
+            slice(start, start + SLAB_ROWS)
+            for start in range(0, grid.n_pa, SLAB_ROWS)
+        ]
 
-        pa3 = self._pa[:, None, None]
-        pb3 = self._pb[None, :, None]
-        q3 = self._q[None, None, :]
-        pab = q3 * np.minimum(pa3, pb3)  # (A, B, Q)
-        self._pab = pab
-        self._log_p11 = _safe_log(pab)
-        self._log_p10 = _safe_log(pa3 - pab)
-        self._log_p01 = _safe_log(pb3 - pab)
-        self._log_p00 = _safe_log(1.0 - pa3 - pb3 + pab)
+        # The (A, B, Q) grids are built on first use: log p11, p10, p01,
+        # p00 when a non-zero count needs them, pAB for the pAB queries.
+        self._pab: Optional[np.ndarray] = None
+        self._log_cells: List[Optional[np.ndarray]] = [None] * 4
+
+        # log prior + r1 log p11 + r2 log p10 + r3 log p01 for the
+        # failure counts in ``_partial_key``; it depends on counts only,
+        # so it outlives reset() / replace_counts().
+        self._partial: Optional[np.ndarray] = None
+        self._partial_key: Optional[Tuple[int, int, int]] = None
 
         self._counts = JointCounts()
-        self._posterior_cache: Optional[np.ndarray] = None
+        self._mass: Optional[np.ndarray] = None  # reused output buffer
+        self._mass_valid = False
         self._pab_sort_index: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -99,7 +115,7 @@ class WhiteBoxAssessor:
     def observe(self, counts: JointCounts) -> None:
         """Accumulate new joint observations."""
         self._counts = self._counts + counts
-        self._posterior_cache = None
+        self._mass_valid = False
 
     def replace_counts(self, counts: JointCounts) -> None:
         """Set the *cumulative* counts directly (used by the runner).
@@ -109,41 +125,123 @@ class WhiteBoxAssessor:
         increments.
         """
         self._counts = counts
-        self._posterior_cache = None
+        self._mass_valid = False
 
     def reset(self) -> None:
         """Drop all observations, reverting to the prior."""
         self._counts = JointCounts()
-        self._posterior_cache = None
+        self._mass_valid = False
 
     # ------------------------------------------------------------------
     # posterior evaluation
     # ------------------------------------------------------------------
 
-    def _posterior(self) -> np.ndarray:
-        if self._posterior_cache is not None:
-            return self._posterior_cache
-        r1, r2, r3, r4 = self._counts.as_tuple()
-        log_post = self._log_prior + np.zeros_like(self._log_p11)
+    def _cell_probabilities(self, index: int, rows: slice) -> np.ndarray:
+        """p11 = pAB, p10, p01 or p00 (index 0-3) on the grid rows *rows*."""
+        pa3 = self._pa[rows, None, None]
+        pb3 = self._pb[None, :, None]
+        pab = self._q[None, None, :] * np.minimum(pa3, pb3)
+        if index == 0:
+            return pab
+        if index == 1:
+            return pa3 - pab
+        if index == 2:
+            return pb3 - pab
+        return 1.0 - pa3 - pb3 + pab
+
+    def _pab_grid(self) -> np.ndarray:
+        """pAB = q * min(pA, pB) on the (A, B, Q) grid, built once."""
+        if self._pab is None:
+            self._pab = self._cell_probabilities(0, slice(None))
+        return self._pab
+
+    def _log_cell(self, index: int) -> np.ndarray:
+        """log p11, p10, p01 or p00 (index 0-3) on the grid, built once,
+        slab by slab so that no whole-grid pAB is needed."""
+        grid = self._log_cells[index]
+        if grid is None:
+            grid = np.empty(self._shape)
+            for rows in self._slabs:
+                grid[rows] = _log_in_place(
+                    self._cell_probabilities(index, rows)
+                )
+            self._log_cells[index] = grid
+        return grid
+
+    def _partial_sum(self, failures: Tuple[int, int, int]) -> np.ndarray:
+        """log prior + r1 log p11 + r2 log p10 + r3 log p01, memoised on
+        ``failures = (r1, r2, r3)``.
+
+        Summed slab by slab into one reused buffer, in the order the
+        terms are listed, skipping zero counts — each cell sees the same
+        float operations as the whole-grid expression
+        ``(((P + 0) + r1 L11) + r2 L10) + r3 L01``.
+        """
+        partial = self._partial
+        if partial is not None and self._partial_key == failures:
+            return partial
+        self._partial_key = None
+        if partial is None:
+            partial = self._partial = np.empty(self._shape)
         # Multiply only the terms with non-zero exponents: with r=0 a cell
         # probability of exactly zero is still admissible (0^0 = 1).
-        if r1:
-            log_post = log_post + r1 * self._log_p11
-        if r2:
-            log_post = log_post + r2 * self._log_p10
-        if r3:
-            log_post = log_post + r3 * self._log_p01
-        if r4:
-            log_post = log_post + r4 * self._log_p00
-        peak = log_post.max()
+        terms = [
+            (count, self._log_cell(index))
+            for index, count in enumerate(failures)
+            if count
+        ]
+        scratch = np.empty((SLAB_ROWS,) + self._shape[1:])
+        for rows in self._slabs:
+            block = partial[rows]
+            # P + 0, not a copy: the whole-grid form's sign of zero.
+            np.add(self._log_prior[rows], 0.0, out=block)
+            product = scratch[: len(block)]
+            for count, log_cell in terms:
+                np.multiply(count, log_cell[rows], out=product)
+                np.add(block, product, out=block)
+        self._partial_key = failures
+        return partial
+
+    def _posterior(self) -> np.ndarray:
+        """The normalised posterior mass on the grid (a reused buffer).
+
+        Bit-identical to the whole-grid evaluation
+        ``m = exp(log_post - log_post.max()); m /= m.sum()`` with
+        ``log_post = partial + r4 log p00``: the elementwise steps run
+        slab by slab in place, and the two reductions whose result
+        depends on summation order (the total here and the marginal
+        sums) stay whole-array calls on the same contiguous array.
+        """
+        mass = self._mass
+        if mass is not None and self._mass_valid:
+            return mass
+        r1, r2, r3, r4 = self._counts.as_tuple()
+        partial = self._partial_sum((r1, r2, r3))
+        log_p00 = self._log_cell(3) if r4 else None
+        if mass is None:
+            mass = self._mass = np.empty(self._shape)
+        scratch = np.empty((SLAB_ROWS,) + self._shape[1:])
+        peak = -np.inf
+        for rows in self._slabs:
+            block = mass[rows]
+            if log_p00 is None:
+                np.copyto(block, partial[rows])
+            else:
+                product = scratch[: len(block)]
+                np.multiply(r4, log_p00[rows], out=product)
+                np.add(partial[rows], product, out=block)
+            peak = max(peak, float(block.max()))
         if not np.isfinite(peak):
             raise InferenceError(
                 "posterior vanished everywhere: the observations are "
                 "impossible under the prior's support"
             )
-        mass = np.exp(log_post - peak)
+        for rows in self._slabs:
+            block = mass[rows]
+            np.subtract(block, peak, out=block)
+            np.exp(block, out=block)
         mass /= mass.sum()
-        self._posterior_cache = mass
+        self._mass_valid = True
         return mass
 
     # ------------------------------------------------------------------
@@ -163,9 +261,9 @@ class WhiteBoxAssessor:
         eq. (3).  pAB varies cell-by-cell, so the marginal is reported over
         the sorted flattened grid."""
         if self._pab_sort_index is None:
-            self._pab_sort_index = np.argsort(self._pab, axis=None)
+            self._pab_sort_index = np.argsort(self._pab_grid(), axis=None)
         flat_mass = self._posterior().ravel()[self._pab_sort_index]
-        flat_values = self._pab.ravel()[self._pab_sort_index]
+        flat_values = self._pab_grid().ravel()[self._pab_sort_index]
         return flat_values, flat_mass
 
     # ------------------------------------------------------------------
@@ -259,7 +357,7 @@ class WhiteBoxAssessor:
 
     def posterior_mean_ab(self) -> float:
         """Posterior E[pAB] — expected 1-out-of-2 system pfd."""
-        return float(np.sum(self._pab * self._posterior()))
+        return float(np.sum(self._pab_grid() * self._posterior()))
 
     def __repr__(self) -> str:
         return (

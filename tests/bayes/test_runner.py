@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.bayes.beta import TruncatedBeta
 from repro.bayes.demand_process import TwoReleaseGroundTruth
 from repro.bayes.detection import OmissionDetection, PerfectDetection
-from repro.bayes.priors import GridSpec
+from repro.bayes.priors import GridSpec, WhiteBoxPrior
 from repro.bayes.runner import SequentialAssessment
 from repro.bayes.whitebox import WhiteBoxAssessor
 from repro.common.errors import ConfigurationError
+from repro.experiments.scenarios import scenario_2
 
 
 @pytest.fixture
@@ -92,10 +94,26 @@ class TestRun:
         first = assessment.run(np.random.default_rng(1), assessor=assessor)
         second = assessment.run(np.random.default_rng(1), assessor=assessor)
         # Identical seeds + reset assessor => identical histories.
-        assert first.records[-1].counts == second.records[-1].counts
-        assert first.records[-1].percentile_b_99 == pytest.approx(
-            second.records[-1].percentile_b_99
+        assert first.records == second.records
+
+    def test_assessor_for_another_prior_or_grid_is_rejected(
+        self, ground_truth, scenario1_prior, rng
+    ):
+        grid = GridSpec(48, 48, 16)
+        assessment = make_assessment(ground_truth, scenario1_prior, grid=grid)
+        other_prior = WhiteBoxAssessor(scenario_2().prior, grid)
+        with pytest.raises(ConfigurationError):
+            assessment.run(rng, assessor=other_prior)
+        other_grid = WhiteBoxAssessor(scenario1_prior, GridSpec(48, 48, 8))
+        with pytest.raises(ConfigurationError):
+            assessment.run(rng, assessor=other_grid)
+        # An equal prior built separately is accepted.
+        twin = WhiteBoxPrior(
+            TruncatedBeta(20, 20, upper=0.002),
+            TruncatedBeta(2, 3, upper=0.002),
         )
+        history = assessment.run(rng, assessor=WhiteBoxAssessor(twin, grid))
+        assert history.final().demands == 2_000
 
     def test_detection_model_applied(self, ground_truth, scenario1_prior):
         perfect = make_assessment(ground_truth, scenario1_prior).run(
