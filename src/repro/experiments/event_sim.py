@@ -151,10 +151,14 @@ def run_release_pair_simulation(
     :class:`~repro.services.retry.RetryingPort`, re-submitting demands
     whose adjudication was evidently erroneous; every attempt appears
     as its own middleware demand in the reduced rows.  Retry cells
-    over-provision the demand script (one row per attempt, up to
-    ``requests * max_attempts``) so both backends replay the same
-    pre-drawn randomness; the columnar backend resolves retry under
-    max-reliability and defers to the event kernel for other modes.
+    draw the demand script with ``requests * (1 + max_attempts)`` rows
+    (one row per attempt; at most ``requests * max_attempts`` are
+    consumed) so both backends replay the same pre-drawn randomness.
+    That size cannot shrink without moving every retry result: the
+    outcome stream draws all first-release codes before any
+    second-release code, so the draw size enters the drawn values.  The
+    columnar backend resolves retry under max-reliability and defers to
+    the event kernel for other modes.
 
     Observability (all opt-in, see :mod:`repro.obs`): *trace_path*
     writes the cell's kernel + demand-span event stream as JSONL

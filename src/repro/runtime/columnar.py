@@ -46,10 +46,17 @@ arithmetic, in order:
   (``arr_{j+1} = fl(arr_j + fl(t1 + t2_{j+1}))``), consumes release
   latency scripts only for releases actually invoked, and replays the
   random-order variant's permutation draws from the middleware stream;
-* retry interleaves attempts of demand *i* with later demands, so the
-  retry resolver replays the kernel's global ``(time, sequence)`` heap
-  order exactly — including the attempt-supersession rule and the
-  sequence numbers of events that are scheduled but never matter.
+* retry without an attempt timeout resolves in array rounds (round *a*
+  holds attempt *a* of every demand still faulting): script rows are
+  assigned demand-major from predicted faults, start times and
+  collection are then computed exactly and checked against the
+  prediction and against the next arrival, and records and
+  adjudication draws follow the close events' ``(time, row)`` order;
+* retry with an attempt timeout, or whose retries reach the next
+  arrival, interleaves attempts of demand *i* with later demands, so it
+  replays the kernel's global ``(time, sequence)`` heap order exactly —
+  including the attempt-supersession rule and the sequence numbers of
+  events that are scheduled but never matter.
 
 The *envelope* in which this equivalence is proven is wide but not
 universal: a pre-drawn script (not live sampling), the paper-rule
@@ -65,6 +72,7 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
     Sequence,
@@ -83,6 +91,8 @@ from repro.simulation.metrics import ReleaseMetrics, SystemMetrics
 from repro.simulation.outcomes import OUTCOME_ORDER, Outcome
 
 if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
     from repro.services.retry import RetryPolicy
 
 CODE_CORRECT = OUTCOME_ORDER.index(Outcome.CORRECT)
@@ -293,9 +303,9 @@ def resolve_cell_batch(
     policy) shape, mirroring how the batched grid path groups work.
 
     Parallel modes fuse across the leading batch axis.  Sequential and
-    retry cells replay per cell over the shared arena — the win there is
-    the shared script drawing and the single batched store commit, not
-    the resolver arithmetic.
+    retry cells resolve per cell over the shared arena — the win there
+    is the shared script drawing and the single batched store commit,
+    not the resolver arithmetic.
     """
     cells = arena.cells
     if not (len(timeouts) == len(spacings) == len(middleware_rngs) == cells):
@@ -475,59 +485,21 @@ def _resolve_parallel_batch(
                 chosen_col = vorder[np.arange(m_rows.size), draws]
                 system_codes[c, m_rows] = codes[c, m_rows, chosen_col]
 
+    missing = n - collected.sum(axis=1)
     results = []
     for c in range(cells):
-        release_rows = []
-        for j, name in enumerate(names):
-            sel = collected[c, :, j]
-            release_rows.append(
-                ReleaseMetrics.from_arrays(
-                    name,
-                    outcome_codes=codes[c, sel, j],
-                    recorded_times=(arrival[c, :, j] - starts[c])[sel],
-                    no_response=int(n - np.count_nonzero(sel)),
-                )
-            )
-        system_row = ReleaseMetrics.from_arrays(
-            "System",
-            outcome_codes=system_codes[c][~unavailable[c]],
-            recorded_times=system_times[c],
-            no_response=int(np.count_nonzero(unavailable[c])),
-        )
-        metrics = SystemMetrics(releases=release_rows, system=system_row)
-        metrics.check_consistency()
-        results.append(metrics)
+        sel = collected[c]
+        elapsed = arrival[c] - starts[c, :, None]
+        results.append(_reduce(
+            names,
+            [codes[c, sel[:, j], j] for j in range(k)],
+            [elapsed[sel[:, j], j] for j in range(k)],
+            missing[c],
+            system_codes[c][~unavailable[c]],
+            system_times[c],
+            np.count_nonzero(unavailable[c]),
+        ))
     return results
-
-
-def resolve_release_pair_cell(
-    script: DemandScript,
-    release_names: Sequence[str],
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    adjudication_rng: np.random.Generator,
-) -> SystemMetrics:
-    """Resolve one release-pair max-reliability cell (PR-5 interface).
-
-    Back-compat wrapper over the mode-general resolver: takes the
-    already-spawned adjudication generator directly and pins the
-    original two-release max-reliability envelope.
-    """
-    codes = script.outcome_codes
-    if codes is None:
-        raise ConfigurationError(
-            "columnar backend needs a script with outcome codes"
-        )
-    if len(release_names) != 2 or len(script.t2) != 2 or codes.shape[1] != 2:
-        raise ConfigurationError(
-            "resolve_release_pair_cell resolves exactly two releases"
-        )
-    return _resolve_parallel(
-        script, list(release_names), np.asarray(codes, dtype=np.int64),
-        timeout, adjudication_delay, spacing, adjudication_rng,
-        None, script.requests, ModeConfig.max_reliability(),
-    )
 
 
 def _bounded_draws(
@@ -609,18 +581,6 @@ def _resolve_parallel(
     rank = np.argsort(order, axis=1, kind="stable")
     collected = within & (rank < m)
 
-    release_rows = []
-    for j, name in enumerate(names):
-        sel = collected[:, j]
-        release_rows.append(
-            ReleaseMetrics.from_arrays(
-                name,
-                outcome_codes=codes[sel, j],
-                recorded_times=(arrival[:, j] - starts)[sel],
-                no_response=int(n - np.count_nonzero(sel)),
-            )
-        )
-
     valid = collected & (codes != CODE_EVIDENT)
     valid_count = valid.sum(axis=1)
     unavailable = count_within == 0
@@ -634,7 +594,6 @@ def _resolve_parallel(
             np.minimum(decision - starts, timeout) + adjudication_delay
         )
 
-    system_codes = np.full(n, CODE_EVIDENT, dtype=np.int64)
     if config.mode is OperatingMode.PARALLEL_RESPONSIVENESS:
         # First valid response is delivered immediately; its arrival is
         # the consumer-visible decision time, unclipped, and no
@@ -646,41 +605,25 @@ def _resolve_parallel(
         with np.errstate(invalid="ignore"):
             fv_times = (arrival[rows_idx, fv_col] - starts) + adjudication_delay
         system_times = np.where(delivered, fv_times, clipped_times)
+        system_codes = np.full(n, CODE_EVIDENT, dtype=np.int64)
         dsel = np.flatnonzero(delivered)
         system_codes[dsel] = codes[dsel, fv_col[dsel]]
     else:
         system_times = clipped_times
-        has_correct = (valid & (codes == CODE_CORRECT)).any(axis=1)
-        has_nef = (valid & (codes == CODE_NEF)).any(axis=1)
-        mismatch = has_correct & has_nef
-        agree = (valid_count > 0) & ~mismatch
-        # Agreeing valid responses share one code — read the first.
-        first_valid_col = np.argmax(valid, axis=1)
-        asel = np.flatnonzero(agree)
-        system_codes[asel] = codes[asel, first_valid_col[asel]]
-        m_rows = np.flatnonzero(mismatch)
-        if m_rows.size:
-            draws = np.asarray(
-                _bounded_draws(
-                    adjudication_rng, [int(b) for b in valid_count[m_rows]]
-                ),
-                dtype=np.int64,
-            )
-            # The draw indexes the valid responses in collection order.
-            vkey = np.where(valid[m_rows], arrival[m_rows], np.inf)
-            vorder = np.argsort(vkey, axis=1, kind="stable")
-            chosen_col = vorder[np.arange(m_rows.size), draws]
-            system_codes[m_rows] = codes[m_rows, chosen_col]
+        system_codes = _paper_rule_codes(
+            valid, codes, arrival, adjudication_rng
+        )
 
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=system_codes[~unavailable],
-        recorded_times=system_times,
-        no_response=int(np.count_nonzero(unavailable)),
+    elapsed = arrival - starts[:, None]
+    return _reduce(
+        names,
+        [codes[collected[:, j], j] for j in range(k)],
+        [elapsed[collected[:, j], j] for j in range(k)],
+        n - collected.sum(axis=0),
+        system_codes[~unavailable],
+        system_times,
+        np.count_nonzero(unavailable),
     )
-    metrics = SystemMetrics(releases=release_rows, system=system_row)
-    metrics.check_consistency()
-    return metrics
 
 
 def _resolve_sequential(
@@ -804,37 +747,20 @@ def _resolve_sequential(
                 prev[idx[cont]] = arr[cont]
                 alive = new_alive
 
-    release_rows = []
-    for j, name in enumerate(names):
-        sel = collected[:, j]
-        # Releases past the escalation point were never invoked; the
-        # monitor does not score them at all on those demands.
-        release_rows.append(
-            ReleaseMetrics.from_arrays(
-                name,
-                outcome_codes=codes[sel, j],
-                recorded_times=rec_time[sel, j],
-                no_response=int(
-                    np.count_nonzero(invoked[:, j]) - np.count_nonzero(sel)
-                ),
-            )
-        )
-
     # At most one valid response is ever collected, so adjudication
     # never draws: the single valid wins, else all-evident, else
-    # unavailable.
-    unavailable = ~any_collected
+    # unavailable.  Releases past the escalation point were never
+    # invoked; the monitor does not score them at all on those demands.
     system_codes = np.where(valid_code >= 0, valid_code, CODE_EVIDENT)
-    system_times = np.minimum(close - starts, timeout) + adjudication_delay
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=system_codes[~unavailable],
-        recorded_times=system_times,
-        no_response=int(np.count_nonzero(unavailable)),
+    return _reduce(
+        names,
+        [codes[collected[:, j], j] for j in range(k)],
+        [rec_time[collected[:, j], j] for j in range(k)],
+        invoked.sum(axis=0) - collected.sum(axis=0),
+        system_codes[any_collected],
+        np.minimum(close - starts, timeout) + adjudication_delay,
+        n - np.count_nonzero(any_collected),
     )
-    metrics = SystemMetrics(releases=release_rows, system=system_row)
-    metrics.check_consistency()
-    return metrics
 
 
 #: Columnar resolver per operating mode.  Every :class:`OperatingMode`
@@ -852,14 +778,92 @@ _MODE_RESOLVERS: Dict[OperatingMode, Callable[..., SystemMetrics]] = {
 }
 
 
-# Retry replay event kinds (heap entries are all-scalar tuples:
-# (time, sequence, kind, a, b, c) — the sequence is unique, so
-# comparison never reaches the payload).
-_EVT_ARRIVAL = 0
-_EVT_CLOSE = 1
-_EVT_DELIVERY = 2
-_EVT_ATTEMPT_TIMEOUT = 3
-_EVT_ATTEMPT_START = 4
+def _reduce(
+    names: Sequence[str],
+    release_codes: Sequence["ArrayLike"],
+    release_times: Sequence["ArrayLike"],
+    release_missing: Iterable[int],
+    system_codes: "ArrayLike",
+    system_times: "ArrayLike",
+    system_missing: int,
+) -> SystemMetrics:
+    """Reduce records, in record order, to checked Table-5 rows."""
+    metrics = SystemMetrics(
+        releases=[
+            ReleaseMetrics.from_arrays(
+                name,
+                outcome_codes=np.asarray(codes, dtype=np.int64),
+                recorded_times=np.asarray(times, dtype=np.float64),
+                no_response=int(missing),
+            )
+            for name, codes, times, missing in zip(
+                names, release_codes, release_times, release_missing
+            )
+        ],
+        system=ReleaseMetrics.from_arrays(
+            "System",
+            outcome_codes=np.asarray(system_codes, dtype=np.int64),
+            recorded_times=np.asarray(system_times, dtype=np.float64),
+            no_response=int(system_missing),
+        ),
+    )
+    metrics.check_consistency()
+    return metrics
+
+
+def _paper_rule_codes(
+    valid: np.ndarray,
+    codes: np.ndarray,
+    arrival: np.ndarray,
+    adjudication_rng: np.random.Generator,
+) -> np.ndarray:
+    """Paper-rule system code per row of (rows, k) collection matrices.
+
+    Rows must be in close order: mismatching rows draw from
+    *adjudication_rng* in row order.  Rows with no valid response get
+    the evident-failure code.
+    """
+    valid_count = valid.sum(axis=1)
+    system_codes = np.full(valid.shape[0], CODE_EVIDENT, dtype=np.int64)
+    has_correct = (valid & (codes == CODE_CORRECT)).any(axis=1)
+    has_nef = (valid & (codes == CODE_NEF)).any(axis=1)
+    mismatch = has_correct & has_nef
+    agree = (valid_count > 0) & ~mismatch
+    # Agreeing valid responses share one code — read the first.
+    first_valid_col = np.argmax(valid, axis=1)
+    asel = np.flatnonzero(agree)
+    system_codes[asel] = codes[asel, first_valid_col[asel]]
+    m_rows = np.flatnonzero(mismatch)
+    if m_rows.size:
+        draws = np.asarray(
+            _bounded_draws(
+                adjudication_rng, [int(b) for b in valid_count[m_rows]]
+            ),
+            dtype=np.int64,
+        )
+        # The draw indexes the valid responses in collection order.
+        vkey = np.where(valid[m_rows], arrival[m_rows], np.inf)
+        vorder = np.argsort(vkey, axis=1, kind="stable")
+        chosen_col = vorder[np.arange(m_rows.size), draws]
+        system_codes[m_rows] = codes[m_rows, chosen_col]
+    return system_codes
+
+
+def _retry_execs(
+    script: DemandScript, codes: np.ndarray, k: int
+) -> np.ndarray:
+    """Execution times ``fl(t1 + t2_j)`` of every script row, (rows, k).
+
+    Rows stop at the shortest of the script's streams; the elementwise
+    sum matches the kernel's scalar sum bit for bit.
+    """
+    t1 = np.asarray(script.t1, dtype=np.float64)
+    t2 = [np.asarray(script.t2[j], dtype=np.float64) for j in range(k)]
+    rows = min(t1.shape[0], codes.shape[0], *(column.shape[0] for column in t2))
+    execs = np.empty((rows, k), dtype=np.float64)
+    for j in range(k):
+        execs[:, j] = t1[:rows] + t2[j][:rows]
+    return execs
 
 
 def _resolve_retry(
@@ -873,40 +877,191 @@ def _resolve_retry(
     n: int,
     policy: "RetryPolicy",
 ) -> SystemMetrics:
-    """Max-reliability with a retry port: replay the global event heap.
+    """Max-reliability with a retry port.
 
-    Retry attempts outlive the demand spacing (a retry launched at
-    delivery time ``start + TimeOut + dT`` overlaps the next arrival),
-    so unlike the other resolvers this one cannot treat demands as
-    serialized.  It replays the kernel's ``(time, sequence)`` dispatch
-    order exactly — allocating sequence numbers for every event the
-    kernel would schedule, including response events that never need
-    dispatching here — so script cursors, adjudication draws, and
-    record order all land bit-identically.  All arithmetic is Python
-    floats, matching the kernel's ``schedule(delay)`` =
-    ``schedule_at(fl(now + delay))`` chain.
+    Array rounds (:func:`_resolve_retry_rounds`) resolve the cell when
+    the policy has no attempt timeout and their checks hold; attempt
+    timeouts, and retries that reach the next arrival, replay the
+    kernel's event heap (:func:`_replay_retry_general`).
+    """
+    args = (
+        script, names, codes, timeout, adjudication_delay, spacing,
+        adjudication_rng, n, policy,
+    )
+    if policy.attempt_timeout is None:
+        metrics = _resolve_retry_rounds(*args)
+        if metrics is not None:
+            return metrics
+    return _replay_retry_general(*args)
+
+
+def _resolve_retry_rounds(
+    script: DemandScript,
+    names: List[str],
+    codes: np.ndarray,
+    timeout: float,
+    adjudication_delay: float,
+    spacing: float,
+    adjudication_rng: np.random.Generator,
+    n: int,
+    policy: "RetryPolicy",
+) -> Optional[SystemMetrics]:
+    """Retry without an attempt timeout as array rounds, or None.
+
+    Round *a* holds attempt *a* of every demand whose earlier attempts
+    all faulted.  With no attempt timeout an attempt ends at its own
+    delivery, so a demand has one attempt in flight and retry *a + 1*
+    starts at ``t' = fl(fl(close + dT) + backoff)``.  The rounds are the
+    kernel's run only under four facts of its ``(time, sequence)``
+    order (DESIGN.md §6); each is either true by construction or
+    checked here before anything is drawn or returned:
+
+    1. *Script rows.*  Rows go to attempts in attempt-dispatch order.
+       That order is demand-major when every attempt of demand *i*
+       starts strictly before arrival *i + 1* at ``fl((i+1)·spacing)``;
+       on an exact tie the arrival dispatches first, because its
+       sequence number was allocated at ``s_i``, before any retry of
+       demand *i* was scheduled.  Each row's fault is predicted from
+       finite ``exec < TimeOut`` and the outcome codes (the kernel
+       schedules no response for a non-finite exec); each demand then
+       takes the run of faulty rows from its first row, plus the row
+       that ends it, capped at ``max_attempts``.
+    2. *Exact check.*  Start times, cut-offs and collection
+       (``fl(t + exec) < fl(t + TimeOut)``) are computed exactly, round
+       by round.  If an exact fault differs from its prediction, or a
+       retry starts at or after the next arrival, the row assignment is
+       not the kernel's and None is returned — as it is when the script
+       would run out, so the heap replay raises the kernel's error.
+    3. *Record and draw order.*  Close events dispatch in ``(close
+       time, row)`` order: a close's sequence number is allocated when
+       its attempt dispatches, as its row is.  Records and the
+       adjudication draws follow that order.
+    4. *Reduction.*  Rows reduce with ``ReleaseMetrics.from_arrays``
+       (cumsum order) and pass ``check_consistency``.
+
+    Every event time must also be at or after the time it is scheduled
+    (the kernel refuses anything else), which holds when delays are
+    non-negative and is checked for the close times.
+    """
+    if n < 1 or not (spacing >= 0.0 and adjudication_delay >= 0.0):
+        return None
+    k = len(names)
+    execs = _retry_execs(script, codes, k)
+    rows_available = execs.shape[0]
+    finite = np.isfinite(execs)
+    nonevident = codes[:rows_available] != CODE_EVIDENT
+    max_attempts = int(policy.max_attempts)
+
+    # Fact 1.  A non-faulty row ends its demand, so each block of faulty
+    # rows closed by a non-faulty one splits into demands of at most
+    # max_attempts rows.  A virtual non-faulty row past the script ends
+    # the last block; the demand after the last one must start there or
+    # earlier, else the script runs out.
+    predicted_fault = ~(finite & (execs < timeout) & nonevident).any(axis=1)
+    index = np.arange(rows_available + 1)
+    opens_block = np.ones(rows_available + 1, dtype=bool)
+    opens_block[1:] = ~predicted_fault
+    block_start = np.maximum.accumulate(np.where(opens_block, index, 0))
+    first = np.flatnonzero((index - block_start) % max_attempts == 0)
+    if first.size < n + 1:
+        return None
+    attempts = np.diff(first[: n + 1])
+
+    # Fact 2, round by round.
+    starts = np.arange(n, dtype=np.float64) * spacing
+    next_arrival = np.append(starts[1:], np.inf)
+    demand = np.arange(n)
+    start = starts
+    rounds: List[Tuple[np.ndarray, ...]] = []
+    with np.errstate(invalid="ignore"):
+        for attempt in range(max_attempts):
+            if attempt:
+                keep = attempts[demand] > attempt
+                demand = demand[keep]
+                if demand.size == 0:
+                    break
+                start = (close[keep] + adjudication_delay) + policy.backoff
+                if not (start < next_arrival[demand]).all():
+                    return None
+            rows = first[demand] + attempt
+            cutoff = start + timeout
+            arrival = start[:, None] + execs[rows]
+            within = (arrival < cutoff[:, None]) & finite[rows]
+            close = np.where(
+                within.all(axis=1), arrival.max(axis=1), cutoff
+            )
+            fault = ~(within & nonevident[rows]).any(axis=1)
+            if not (
+                np.array_equal(fault, predicted_fault[rows])
+                and (close >= start).all()
+            ):
+                return None
+            rounds.append((rows, start, close, arrival, within))
+
+    # Fact 3.
+    merged = [np.concatenate(part) for part in zip(*rounds)]
+    order = np.lexsort((merged[0], merged[2]))
+    rows, start, close, arrival, within = (part[order] for part in merged)
+    row_codes = codes[rows]
+    valid = within & (row_codes != CODE_EVIDENT)
+    answered = within.any(axis=1)
+    system_codes = _paper_rule_codes(
+        valid, row_codes, arrival, adjudication_rng
+    )
+
+    # Fact 4.
+    elapsed = arrival - start[:, None]
+    return _reduce(
+        names,
+        [row_codes[within[:, j], j] for j in range(k)],
+        [elapsed[within[:, j], j] for j in range(k)],
+        rows.size - within.sum(axis=0),
+        system_codes[answered],
+        np.minimum(close - start, timeout) + adjudication_delay,
+        rows.size - np.count_nonzero(answered),
+    )
+
+
+# Retry replay event kinds (heap entries are all-scalar tuples:
+# (time, sequence, kind, a, b, c) — the sequence is unique, so
+# comparison never reaches the payload).
+_EVT_ARRIVAL = 0
+_EVT_CLOSE = 1
+_EVT_DELIVERY = 2
+_EVT_ATTEMPT_TIMEOUT = 3
+_EVT_ATTEMPT_START = 4
+
+
+def _replay_retry_general(
+    script: DemandScript,
+    names: List[str],
+    codes: np.ndarray,
+    timeout: float,
+    adjudication_delay: float,
+    spacing: float,
+    adjudication_rng: np.random.Generator,
+    n: int,
+    policy: "RetryPolicy",
+) -> SystemMetrics:
+    """Replay the kernel's global event heap, for any retry policy.
+
+    Attempt timeouts put several attempts of one demand in flight, and a
+    retry launched at or after the next arrival interleaves demands, so
+    this resolver cannot treat demands as serialized.  It replays the
+    kernel's ``(time, sequence)`` dispatch order exactly — allocating
+    sequence numbers for every event the kernel would schedule,
+    including response events that never need dispatching here — so
+    script cursors, adjudication draws, and record order all land
+    bit-identically.  All arithmetic is Python floats, matching the
+    kernel's ``schedule(delay)`` = ``schedule_at(fl(now + delay))``
+    chain.
     """
     k = len(names)
-    t1_arr = np.asarray(script.t1, dtype=np.float64)
-    t2_arrs = [
-        np.asarray(script.t2[j], dtype=np.float64) for j in range(k)
-    ]
-    rows_available = min(
-        t1_arr.shape[0], codes.shape[0],
-        *(column.shape[0] for column in t2_arrs),
-    )
-    # Per-row precomputation: fl(t1 + t2_j) matches the kernel's scalar
-    # sum bit for bit, so the replay loop below only pays list indexing.
-    exec_lists: List[List[float]] = []
-    fin_lists: List[List[bool]] = []
-    sched_counts = np.zeros(rows_available, dtype=np.int64)
-    for column in t2_arrs:
-        execs = t1_arr[:rows_available] + column[:rows_available]
-        finite = np.isfinite(execs)
-        sched_counts += finite
-        exec_lists.append(execs.tolist())
-        fin_lists.append(finite.tolist())
-    sched_list = sched_counts.tolist()
+    execs = _retry_execs(script, codes, k)
+    rows_available = execs.shape[0]
+    # Per-row precomputation, so the replay loop only pays list indexing.
+    exec_lists: List[List[float]] = execs.T.tolist()
+    fin_lists: List[List[bool]] = np.isfinite(execs).T.tolist()
     codes_list = codes.tolist()
     max_attempts = int(policy.max_attempts)
     backoff = float(policy.backoff)
@@ -917,72 +1072,6 @@ def _resolve_retry(
     rel_miss = [0] * k
     sys_codes: List[int] = []
     sys_times: List[float] = []
-    if attempt_timeout is None and k == 2:
-        # Without an attempt timeout only one attempt per demand is ever
-        # in flight (retries launch strictly after the previous
-        # attempt's delivery), so the supersession machinery is dead
-        # weight — the release-pair replay drops it and unrolls the
-        # two-release inner loops.
-        sys_miss = _replay_retry_pair(
-            exec_lists, fin_lists, codes, rows_available, n, timeout,
-            adjudication_delay, spacing, backoff, max_attempts,
-            adjudication_rng, rel_codes, rel_times, rel_miss,
-            sys_codes, sys_times,
-        )
-    else:
-        sys_miss = _replay_retry_general(
-            exec_lists, fin_lists, sched_list, codes_list,
-            rows_available, n, k, timeout, adjudication_delay, spacing,
-            backoff, max_attempts, attempt_timeout, adjudication_rng,
-            rel_codes, rel_times, rel_miss, sys_codes, sys_times,
-        )
-
-    release_rows = [
-        ReleaseMetrics.from_arrays(
-            name,
-            outcome_codes=np.asarray(rel_codes[j], dtype=np.int64),
-            recorded_times=np.asarray(rel_times[j], dtype=np.float64),
-            no_response=rel_miss[j],
-        )
-        for j, name in enumerate(names)
-    ]
-    system_row = ReleaseMetrics.from_arrays(
-        "System",
-        outcome_codes=np.asarray(sys_codes, dtype=np.int64),
-        recorded_times=np.asarray(sys_times, dtype=np.float64),
-        no_response=sys_miss,
-    )
-    metrics = SystemMetrics(releases=release_rows, system=system_row)
-    metrics.check_consistency()
-    return metrics
-
-
-def _replay_retry_general(
-    exec_lists: List[List[float]],
-    fin_lists: List[List[bool]],
-    sched_list: List[int],
-    codes_list: List[List[int]],
-    rows_available: int,
-    n: int,
-    k: int,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    backoff: float,
-    max_attempts: int,
-    attempt_timeout: Optional[float],
-    adjudication_rng: np.random.Generator,
-    rel_codes: List[List[int]],
-    rel_times: List[List[float]],
-    rel_miss: List[int],
-    sys_codes: List[int],
-    sys_times: List[float],
-) -> int:
-    """Replay the retry heap for any release count / policy shape.
-
-    Mutates the metric accumulators in place and returns the system
-    no-response count.
-    """
     heap: List[Tuple[float, int, int, int, int, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -1119,191 +1208,13 @@ def _replay_retry_general(
                     alloc += 1
                     if arr < cutoff:
                         coll.append((arr, response_seq, j))
-            if len(coll) == k and sched_list[row] == k:
+            if len(coll) == k:
                 close_time, close_seq, _j = max(coll)
             else:
                 close_time, close_seq = cutoff, timeout_seq
             demand_idx = len(demands)
             demands.append((request, attempt_no, time, coll, row))
             heappush(heap, (close_time, close_seq, _EVT_CLOSE, demand_idx, 0, 0))
-    return sys_miss
-
-
-def _replay_retry_pair(
-    exec_lists: List[List[float]],
-    fin_lists: List[List[bool]],
-    codes: np.ndarray,
-    rows_available: int,
-    n: int,
-    timeout: float,
-    adjudication_delay: float,
-    spacing: float,
-    backoff: float,
-    max_attempts: int,
-    adjudication_rng: np.random.Generator,
-    rel_codes: List[List[int]],
-    rel_times: List[List[float]],
-    rel_miss: List[int],
-    sys_codes: List[int],
-    sys_times: List[float],
-) -> int:
-    """Release-pair retry replay, no attempt timeout (the common cell).
-
-    Identical event/sequence semantics to :func:`_replay_retry_general`
-    — the same heap entries with the same sequence numbers in the same
-    order — minus the machinery that cannot fire here: with no attempt
-    timeout exactly one attempt per demand is in flight, so deliveries
-    are never superseded and the per-request state shrinks to the
-    attempt number carried in the event payload.  The two-release inner
-    loops are unrolled.  Mutates the metric accumulators in place and
-    returns the system no-response count.
-    """
-    ex0, ex1 = exec_lists
-    fin0, fin1 = fin_lists
-    c0 = codes[:rows_available, 0].tolist()
-    c1 = codes[:rows_available, 1].tolist()
-    rc0 = rel_codes[0].append
-    rt0 = rel_times[0].append
-    rc1 = rel_codes[1].append
-    rt1 = rel_times[1].append
-    sc = sys_codes.append
-    stm = sys_times.append
-
-    heap: List[Tuple[float, int, int, int, int, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
-    alloc = 0
-    cursor = 0
-    demands: List[Tuple[int, int, float, List[Tuple[float, int, int]], int]] = []
-    sys_miss = 0
-
-    heappush(heap, (0.0 + 0 * spacing, alloc, _EVT_ARRIVAL, 0, 1, 0))
-    alloc += 1
-    while heap:
-        time, _seq, kind, a, b, c = heappop(heap)
-        if kind == _EVT_CLOSE:
-            request, attempt_no, start, coll, row = demands[a]
-            ncoll = len(coll)
-            code0 = c0[row]
-            code1 = c1[row]
-            if ncoll == 2:
-                e0, e1 = coll
-                rc0(code0)
-                rt0(e0[0] - start)
-                rc1(code1)
-                rt1(e1[0] - start)
-                v0 = code0 != CODE_EVIDENT
-                v1 = code1 != CODE_EVIDENT
-                if v0 and v1:
-                    # Valid codes follow arrival order (sequence breaks
-                    # ties toward release 0, which was scheduled first).
-                    if e1 < e0:
-                        first, second = code1, code0
-                    else:
-                        first, second = code0, code1
-                    if (first == CODE_CORRECT and second == CODE_NEF) or (
-                        first == CODE_NEF and second == CODE_CORRECT
-                    ):
-                        draw = int(adjudication_rng.integers(2))
-                        sc(second if draw else first)
-                    else:
-                        sc(first)
-                    fault = 0
-                elif v0:
-                    sc(code0)
-                    fault = 0
-                elif v1:
-                    sc(code1)
-                    fault = 0
-                else:
-                    sc(CODE_EVIDENT)
-                    fault = 1
-            elif ncoll == 1:
-                arr, _s, j = coll[0]
-                if j:
-                    rc1(code1)
-                    rt1(arr - start)
-                    rel_miss[0] += 1
-                    codej = code1
-                else:
-                    rc0(code0)
-                    rt0(arr - start)
-                    rel_miss[1] += 1
-                    codej = code0
-                if codej != CODE_EVIDENT:
-                    sc(codej)
-                    fault = 0
-                else:
-                    sc(CODE_EVIDENT)
-                    fault = 1
-            else:
-                rel_miss[0] += 1
-                rel_miss[1] += 1
-                sys_miss += 1
-                fault = 1
-            delta = time - start
-            stm(
-                (delta if delta < timeout else timeout)
-                + adjudication_delay
-            )
-            heappush(heap, (
-                time + adjudication_delay, alloc, _EVT_DELIVERY,
-                request, attempt_no, fault,
-            ))
-            alloc += 1
-        elif kind == _EVT_DELIVERY:
-            # c is the fault flag, b the attempt number; with no attempt
-            # timeout this delivery always belongs to the live attempt.
-            if c and b < max_attempts:
-                heappush(heap, (
-                    time + backoff, alloc, _EVT_ATTEMPT_START, a, b + 1, 0,
-                ))
-                alloc += 1
-        else:  # _EVT_ARRIVAL or _EVT_ATTEMPT_START
-            request = a
-            if kind == _EVT_ARRIVAL:
-                # The arrival source chains the next arrival before
-                # submitting (lower sequence), then the retry port
-                # starts attempt 1 inline.
-                if request + 1 < n:
-                    heappush(heap, (
-                        0.0 + (request + 1) * spacing, alloc,
-                        _EVT_ARRIVAL, request + 1, 1, 0,
-                    ))
-                    alloc += 1
-            row = cursor
-            cursor += 1
-            if row >= rows_available:
-                raise SimulationError(
-                    f"retry demand script exhausted: demand start {row} "
-                    f"of {rows_available} scripted rows"
-                )
-            # Sequence allocation mirrors the kernel's per-attempt
-            # schedule order: demand timeout, then one response per
-            # finite execution time, in release order.
-            timeout_seq = alloc
-            alloc += 1
-            cutoff = time + timeout
-            coll = []
-            if fin0[row]:
-                arr = time + ex0[row]
-                response_seq = alloc
-                alloc += 1
-                if arr < cutoff:
-                    coll.append((arr, response_seq, 0))
-            if fin1[row]:
-                arr = time + ex1[row]
-                response_seq = alloc
-                alloc += 1
-                if arr < cutoff:
-                    coll.append((arr, response_seq, 1))
-            if len(coll) == 2:
-                e0, e1 = coll
-                close_time, close_seq, _j = e1 if e0 < e1 else e0
-            else:
-                close_time, close_seq = cutoff, timeout_seq
-            heappush(heap, (
-                close_time, close_seq, _EVT_CLOSE, len(demands), 0, 0,
-            ))
-            demands.append((request, b, time, coll, row))
-    return sys_miss
+    return _reduce(
+        names, rel_codes, rel_times, rel_miss, sys_codes, sys_times, sys_miss
+    )

@@ -438,7 +438,9 @@ def build_demand_script(
     *draws* over-provisions the script beyond *requests* rows (retry
     cells consume one row per middleware attempt, up to
     ``requests * max_attempts``); the scripted adapters tolerate unused
-    leftovers, so over-provisioning never changes what a run consumes.
+    leftovers.  The row count is part of the draw: a pair model draws
+    every first-release code before the second release's, so the same
+    seed with a different *draws* gives different second-release codes.
     """
     if requests <= 0:
         raise ValidationError(f"requests must be > 0: {requests!r}")

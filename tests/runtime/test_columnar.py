@@ -177,9 +177,16 @@ class TestRetryEquivalence:
 
     @pytest.mark.parametrize("seed", [3, 9, 17])
     @pytest.mark.parametrize("policy", [
+        pytest.param(RetryPolicy(max_attempts=1), id="attempts-1"),
         pytest.param(RetryPolicy(max_attempts=2), id="attempts-2"),
         pytest.param(
+            RetryPolicy(max_attempts=2, backoff=0.4), id="backoff-0.4"
+        ),
+        pytest.param(
             RetryPolicy(max_attempts=3, backoff=0.25), id="backoff"
+        ),
+        pytest.param(
+            RetryPolicy(max_attempts=4, backoff=0.0), id="attempts-4"
         ),
         pytest.param(
             RetryPolicy(max_attempts=2, attempt_timeout=1.0),
@@ -195,6 +202,27 @@ class TestRetryEquivalence:
 
     def test_retry_calibrated_profile_bit_identical(self):
         policy = RetryPolicy(max_attempts=3, backoff=0.25)
+        event = run_cell(
+            "event", retry=policy, profile=calibrated_profile(),
+            requests=250,
+        )
+        columnar = run_cell(
+            "columnar", retry=policy, profile=calibrated_profile(),
+            requests=250,
+        )
+        assert rows_as_bits(event) == rows_as_bits(columnar)
+
+    @pytest.mark.parametrize("policy", [
+        pytest.param(RetryPolicy(max_attempts=1), id="attempts-1"),
+        pytest.param(RetryPolicy(max_attempts=2), id="attempts-2"),
+        pytest.param(
+            RetryPolicy(max_attempts=2, backoff=0.4), id="backoff-0.4"
+        ),
+        pytest.param(
+            RetryPolicy(max_attempts=4, backoff=0.0), id="attempts-4"
+        ),
+    ])
+    def test_retry_policies_calibrated_profile_bit_identical(self, policy):
         event = run_cell(
             "event", retry=policy, profile=calibrated_profile(),
             requests=250,
